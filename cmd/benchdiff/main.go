@@ -17,9 +17,8 @@
 //
 // -min-median-speedup additionally requires the median candidate/
 // baseline evals_per_sec ratio to reach R (1.0 = "no slower in the
-// median"); 0 disables the check. CI uses it to assert that the
-// incremental evaluation path actually pays for itself against a
-// full-rebuild sweep of the same workload.
+// median"); 0 disables the check. It gates an optimization that claims
+// a throughput gain against a sweep of the same workload without it.
 //
 // Exit status: 0 when no point regresses, 1 on regressions (or a
 // missed median-speedup floor), 2 on usage or I/O errors — including a

@@ -51,7 +51,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log per-case progress to stderr")
 	statsPath := flag.String("stats-out", "", "write sweep-wide engine/scheduler/bus statistics as JSON to this file")
 	benchPath := flag.String("bench-out", "", "write a machine-readable perf baseline (BENCH_*.json) from the deviation sweep to this file")
-	incremental := flag.Bool("incremental", true, "transactional incremental candidate evaluation (false = full rebuild per candidate)")
 	flag.Parse()
 	start := time.Now()
 
@@ -67,9 +66,6 @@ func main() {
 		BaseSeed:         *seed,
 		Parallel:         *parallel,
 		StrategyParallel: *stratParallel,
-	}
-	if !*incremental {
-		o.Incremental = core.IncrementalOff
 	}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,30 +10,23 @@ import (
 	"incdes/internal/obs"
 )
 
-// solveMode runs Solve with an explicit incremental mode and a
-// collecting tracer, so equivalence can be checked on the event stream
-// as well as on the solution.
-func solveMode(t *testing.T, p *core.Problem, strat core.Strategy, par int, mode core.IncrementalMode) (*core.Solution, []obs.TraceEvent) {
-	t.Helper()
-	var col obs.Collector
-	sol, err := core.Solve(context.Background(), p, core.Options{
-		Strategy:    strat,
-		Parallelism: par,
-		Incremental: mode,
-		Observer:    &obs.Observer{Tracer: &col},
-	})
-	if err != nil {
-		t.Fatalf("Solve(%s, incremental=%v): %v", strat.Name(), mode, err)
-	}
-	return sol, col.Events()
-}
-
-// TestIncrementalEquivalence is the refactor's acceptance gate: with the
-// transactional evaluation path on or off, Solve returns byte-identical
-// designs, reports, evaluation counts and decision-event traces — for
-// both iterative strategies, serial and parallel.
+// TestIncrementalEquivalence is the differential test of the engine's
+// transactional evaluation against the reference implementation: every
+// distinct candidate an MH or SA solve scores through Evaluate (apply,
+// rescore the touched regions, roll back on a standing base copy) must
+// get the same (Report, ok) from Materialize, which clones the base,
+// schedules and scores from scratch. It runs on the classic single-bus
+// family and the 3-cluster family, serially and with four workers, so a
+// rollback that leaks state into a worker's base copy shows up as a
+// mismatch on a later candidate.
 func TestIncrementalEquivalence(t *testing.T) {
-	p := testProblem(t, 21, 50, 25)
+	problems := []struct {
+		name string
+		p    *core.Problem
+	}{
+		{"classic", testProblem(t, 21, 50, 25)},
+		{"multicluster", multiclusterProblem(t, 21)},
+	}
 	strategies := []struct {
 		name  string
 		strat core.Strategy
@@ -42,35 +36,37 @@ func TestIncrementalEquivalence(t *testing.T) {
 	}
 	for _, s := range strategies {
 		t.Run(s.name, func(t *testing.T) {
-			for _, par := range []int{1, 4} {
-				on, evOn := solveMode(t, p, s.strat, par, core.IncrementalOn)
-				off, evOff := solveMode(t, p, s.strat, par, core.IncrementalOff)
-				sameDesign(t, s.name, on, off)
-				if len(evOn) == 0 {
-					t.Fatal("no trace events recorded")
-				}
-				if !reflect.DeepEqual(evOn, evOff) {
-					n := min(len(evOn), len(evOff))
-					for i := 0; i < n; i++ {
-						if !reflect.DeepEqual(evOn[i], evOff[i]) {
-							t.Fatalf("par %d: event %d differs between incremental modes:\n  on  %+v\n  off %+v",
-								par, i, evOn[i], evOff[i])
+			for _, fam := range problems {
+				for _, par := range []int{1, 4} {
+					label := fmt.Sprintf("%s/par%d", fam.name, par)
+					eng, cands, err := core.RunRecorded(context.Background(), fam.p,
+						core.Options{Strategy: s.strat, Parallelism: par})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					feasible := 0
+					for i, c := range cands {
+						_, rep, err := eng.Materialize(c.Mapping, c.Hints)
+						if ok := err == nil; ok != c.OK || !reflect.DeepEqual(rep, c.Report) {
+							t.Fatalf("%s: candidate %d: Evaluate = (%+v, %v), Materialize = (%+v, %v)",
+								label, i, c.Report, c.OK, rep, ok)
+						}
+						if c.OK {
+							feasible++
 						}
 					}
-					t.Fatalf("par %d: event counts differ: %d (on) vs %d (off)", par, len(evOn), len(evOff))
+					if feasible == 0 {
+						t.Fatalf("%s: no feasible candidate among %d evaluated", label, len(cands))
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestIncrementalDefaultOn pins that the zero Options value and
-// DefaultOptions both select the transactional path: IncrementalOff is
-// the explicit escape hatch, not the default.
+// TestIncrementalDefaultOn pins that a zero-valued Options evaluates
+// candidates as transactions.
 func TestIncrementalDefaultOn(t *testing.T) {
-	if core.DefaultOptions().Incremental != core.IncrementalOn {
-		t.Errorf("DefaultOptions().Incremental = %v, want IncrementalOn", core.DefaultOptions().Incremental)
-	}
 	p := testProblem(t, 22, 30, 15)
 	reg := obs.NewRegistry()
 	runSolve(t, p, core.Options{
@@ -78,30 +74,27 @@ func TestIncrementalDefaultOn(t *testing.T) {
 		Observer: &obs.Observer{Stats: reg},
 	})
 	if reg.Snapshot().Counters[obs.CtrTxnApplies] == 0 {
-		t.Error("zero-valued Incremental option did not take the transactional path")
+		t.Error("zero-valued Options did not take the transactional path")
 	}
 }
 
-// TestIncrementalCounters checks the core.txn_* instruments: the
-// transactional path accounts every transaction (each one rolled back),
-// splits evaluations into incremental and full-recompute, and records
-// dirty-interval volume; the rebuild path leaves all of them at zero.
+// TestIncrementalCounters checks the core.txn_* instruments: every
+// evaluation is a transaction (each one rolled back), split into
+// incremental and full-recompute scoring, with dirty-interval volume
+// recorded.
 func TestIncrementalCounters(t *testing.T) {
 	// Current app smaller than the node count: candidates routinely leave
 	// timelines clean, so both the incremental and the full-recompute
 	// classifications occur.
 	p := testProblem(t, 23, 50, 8)
-	strat := core.SAWith(core.SAOptions{Seed: 9, Iterations: 300})
-
 	reg := obs.NewRegistry()
 	runSolve(t, p, core.Options{
-		Strategy:    strat,
-		Incremental: core.IncrementalOn,
-		Observer:    &obs.Observer{Stats: reg},
+		Strategy: core.SAWith(core.SAOptions{Seed: 9, Iterations: 300}),
+		Observer: &obs.Observer{Stats: reg},
 	})
 	c := reg.Snapshot().Counters
 	if c[obs.CtrTxnApplies] == 0 {
-		t.Fatal("txn_applies = 0 on the incremental path")
+		t.Fatal("txn_applies = 0: no evaluation ran as a transaction")
 	}
 	if c[obs.CtrTxnApplies] != c[obs.CtrTxnRollbacks] {
 		t.Errorf("every transaction is rolled back: applies %d != rollbacks %d",
@@ -117,18 +110,5 @@ func TestIncrementalCounters(t *testing.T) {
 	}
 	if c[obs.CtrTxnDirty] == 0 {
 		t.Error("txn_dirty_intervals = 0 despite applied transactions")
-	}
-
-	reg = obs.NewRegistry()
-	runSolve(t, p, core.Options{
-		Strategy:    strat,
-		Incremental: core.IncrementalOff,
-		Observer:    &obs.Observer{Stats: reg},
-	})
-	c = reg.Snapshot().Counters
-	for _, name := range []string{obs.CtrTxnApplies, obs.CtrTxnRollbacks, obs.CtrTxnDirty, obs.CtrTxnIncremental, obs.CtrTxnFull} {
-		if c[name] != 0 {
-			t.Errorf("%s = %d with the transactional path disabled, want 0", name, c[name])
-		}
 	}
 }

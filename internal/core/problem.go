@@ -25,12 +25,9 @@
 //
 // All strategies run through the single entry point Solve, which adds
 // parallel candidate evaluation, an evaluation memo, context
-// cancellation with best-so-far results, and progress reporting:
+// cancellation with best-so-far results, and decision tracing:
 //
 //	sol, err := core.Solve(ctx, p, core.Options{Strategy: core.MH, Parallelism: 4})
-//
-// The pre-redesign entry points AdHoc, MappingHeuristic and Anneal
-// remain as thin deprecated wrappers around Solve.
 package core
 
 import (
@@ -118,8 +115,9 @@ type Solution struct {
 func (s *Solution) Objective() float64 { return s.Report.Objective }
 
 // evaluate schedules the current application on a clone of the base with
-// the given design decisions and scores the result. It is the single
-// evaluation primitive every strategy shares.
+// the given design decisions and scores the result from scratch. It backs
+// Engine.Materialize and is the reference that the engine's transactional
+// Evaluate is tested against.
 func (p *Problem) evaluate(mapping model.Mapping, hints sched.Hints) (*sched.State, metrics.Report, error) {
 	st := p.Base.Clone()
 	if err := st.ScheduleApp(p.Current, mapping, hints); err != nil {
@@ -159,7 +157,6 @@ func (ahStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	rep := metrics.Evaluate(st, p.Profile, p.Weights)
 	eng.Trace(obs.TraceEvent{Kind: "init", Strategy: "AH", Cost: rep.Objective})
 	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "AH", Cost: rep.Objective})
-	eng.Emit(Event{Strategy: "AH", BestObjective: rep.Objective})
 	return &Solution{
 		Strategy: "AH",
 		Mapping:  mapping,
@@ -167,11 +164,4 @@ func (ahStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 		State:    st,
 		Report:   rep,
 	}, nil
-}
-
-// AdHoc runs the AH baseline.
-//
-// Deprecated: use Solve(ctx, p, Options{Strategy: AH}).
-func AdHoc(p *Problem) (*Solution, error) {
-	return Solve(context.Background(), p, Options{Strategy: AH, Parallelism: 1})
 }

@@ -197,7 +197,6 @@ func (s saStrategy) Run(ctx context.Context, eng *Engine) (*Solution, error) {
 	}
 	win := chains[best]
 	eng.Trace(obs.TraceEvent{Kind: "decision", Strategy: "SA", Chain: best, Cost: win.report.Objective})
-	eng.Emit(Event{Strategy: "SA", Chain: best, BestObjective: win.report.Objective})
 	return &Solution{
 		Strategy:    "SA",
 		Mapping:     win.mapping,
@@ -268,14 +267,11 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 			rejects++
 			ctr.rejects.Inc()
 		}
-		if (i+1)%1000 == 0 {
-			if tracing {
-				res.events = append(res.events, obs.TraceEvent{
-					Kind: "sa.window", Chain: c, Iter: i + 1,
-					Accepts: accepts, Rejects: rejects,
-				})
-			}
-			eng.Emit(Event{Strategy: "SA", Chain: c, Iteration: i + 1, BestObjective: res.report.Objective})
+		if tracing && (i+1)%1000 == 0 {
+			res.events = append(res.events, obs.TraceEvent{
+				Kind: "sa.window", Chain: c, Iter: i + 1,
+				Accepts: accepts, Rejects: rejects,
+			})
 		}
 	}
 
@@ -295,18 +291,6 @@ func (s saStrategy) runChain(ctx context.Context, eng *Engine, c int, o SAOption
 		})
 	}
 	return res
-}
-
-// Anneal runs a single serial annealing chain.
-//
-// Deprecated: use Solve(ctx, p, Options{Strategy: SAWith(opts)}). Anneal
-// keeps the historical quirk of treating Seed 0 as 1.
-func Anneal(p *Problem, opts SAOptions) (*Solution, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	opts.Restarts = 1
-	return Solve(context.Background(), p, Options{Strategy: SAWith(opts), Parallelism: 1})
 }
 
 // neighbor produces a random design transformation: remap a process

@@ -64,11 +64,6 @@ type Options struct {
 	// Parallel; <= 0 uses one worker per CPU). Solutions are identical
 	// at any setting — only runtimes change.
 	StrategyParallel int
-	// Incremental is handed to every embedded core.Solve call: the zero
-	// value enables transactional incremental evaluation,
-	// core.IncrementalOff restores full clone-and-rebuild per candidate.
-	// Solutions (and therefore the figures) are identical either way.
-	Incremental core.IncrementalMode
 	// Observer, when non-nil, is handed to every embedded core.Solve
 	// call, so one registry accumulates engine/scheduler/bus statistics
 	// over the whole sweep (incbench -stats-out exports it). Attach a
@@ -166,7 +161,6 @@ func (o Options) solve(ctx context.Context, p *core.Problem, strat core.Strategy
 	sol, err := core.Solve(ctx, p, core.Options{
 		Strategy:    strat,
 		Parallelism: o.StrategyParallel,
-		Incremental: o.Incremental,
 		Observer:    o.Observer,
 	})
 	if err != nil {

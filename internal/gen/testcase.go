@@ -38,7 +38,10 @@ func (g *Generator) AssignPeriods(apps []*model.Application, levels [][]int) tm.
 	// on each bus; with one bus this is the bus's round, as before.
 	rl := g.arch.Buses[0].RoundLen()
 	for _, b := range g.arch.Buses[1:] {
-		rl = tm.LCM(rl, b.RoundLen())
+		var err error
+		if rl, err = tm.LCM(rl, b.RoundLen()); err != nil {
+			panic(fmt.Sprintf("gen: bus rounds of the generator config: %v", err))
+		}
 	}
 	base = tm.Max(base, 2*rl)
 	// The base period must be a whole number of TDMA rounds, and a whole

@@ -253,6 +253,7 @@ func (a *Architecture) Validate() error {
 		if b.SlotOverhead < 0 {
 			return fmt.Errorf("model: bus %d slot overhead must be non-negative, got %v", i, b.SlotOverhead)
 		}
+		var round tm.Time
 		for si, owner := range b.SlotOrder {
 			if !seen[owner] {
 				return fmt.Errorf("model: bus %d slot %d owned by unknown node %d", i, si, owner)
@@ -260,6 +261,12 @@ func (a *Architecture) Validate() error {
 			if b.SlotBytes[si] <= 0 {
 				return fmt.Errorf("model: bus %d slot %d has non-positive capacity %d", i, si, b.SlotBytes[si])
 			}
+			// The round must fit the time base, or the hyperperiod
+			// arithmetic wraps around.
+			if tm.Time(b.SlotBytes[si]) > (tm.Infinity-b.SlotOverhead-round)/b.ByteTime {
+				return fmt.Errorf("model: bus %d TDMA round length overflows", i)
+			}
+			round += b.SlotDur(si)
 		}
 	}
 	for _, n := range a.Nodes {

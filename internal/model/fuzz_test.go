@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzReadSystem hardens the system loader: arbitrary JSON must never
-// panic, and every accepted system must validate, re-serialize, and
-// re-parse to an equally valid system.
+// panic, and every accepted system must validate, have a hyperperiod,
+// re-serialize, and re-parse to an equally valid system.
 func FuzzReadSystem(f *testing.F) {
 	b := NewBuilder()
 	n0 := b.Node("N0")
@@ -33,6 +33,7 @@ func FuzzReadSystem(f *testing.F) {
 		if err := got.Validate(); err != nil {
 			t.Fatalf("accepted system fails validation: %v", err)
 		}
+		got.Hyperperiod()
 		var out bytes.Buffer
 		if err := got.WriteJSON(&out); err != nil {
 			t.Fatalf("accepted system fails to serialize: %v", err)

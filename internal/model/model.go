@@ -222,7 +222,16 @@ type System struct {
 // Hyperperiod returns the static cyclic schedule horizon: the least common
 // multiple of every graph period and of every bus's TDMA round length (each
 // TTP cluster cycle must divide the schedule for it to wrap consistently).
+// It panics if the horizon overflows, which Validate rejects.
 func (s *System) Hyperperiod() tm.Time {
+	hp, err := s.hyperperiod()
+	if err != nil {
+		panic(err)
+	}
+	return hp
+}
+
+func (s *System) hyperperiod() (tm.Time, error) {
 	ts := make([]tm.Time, 0, len(s.Arch.Buses)+4)
 	for _, b := range s.Arch.Buses {
 		ts = append(ts, b.RoundLen())

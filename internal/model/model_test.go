@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"incdes/internal/tm"
@@ -192,6 +194,22 @@ func TestValidateRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsHyperperiodOverflow: coprime periods whose least
+// common multiple exceeds the time base are an input error, reported by
+// Validate before anything calls Hyperperiod.
+func TestValidateRejectsHyperperiodOverflow(t *testing.T) {
+	b := NewBuilder()
+	n0 := b.Node("N0")
+	b.Bus([]NodeID{n0}, []int{8}, 1, 2)
+	app := b.App("a")
+	for i, period := range []tm.Time{999983, 999979, 999961, 999959, 999953, 999931} {
+		app.Graph(fmt.Sprintf("G%d", i), period, period).UniformProc(fmt.Sprintf("P%d", i), 10)
+	}
+	if _, err := b.System(); err == nil || !strings.Contains(err.Error(), "hyperperiod") {
+		t.Fatalf("System() error = %v, want a hyperperiod overflow", err)
+	}
+}
+
 func TestValidateArchitecture(t *testing.T) {
 	arch := &Architecture{
 		Nodes: []*Node{{ID: 0}, {ID: 1}},
@@ -208,6 +226,12 @@ func TestValidateArchitecture(t *testing.T) {
 	arch.Buses[0].SlotOrder = []NodeID{0, 0}
 	if err := arch.Validate(); err == nil {
 		t.Error("node without a slot accepted")
+	}
+	// A round longer than the time base would wrap the hyperperiod.
+	arch.Buses[0].SlotOrder = []NodeID{0, 1}
+	arch.Buses[0].ByteTime = tm.Infinity / 8
+	if err := arch.Validate(); err == nil {
+		t.Error("overflowing TDMA round accepted")
 	}
 }
 

@@ -113,6 +113,9 @@ func (s *System) Validate() error {
 			}
 		}
 	}
+	if _, err := s.hyperperiod(); err != nil {
+		return fmt.Errorf("model: hyperperiod: %w", err)
+	}
 	return nil
 }
 

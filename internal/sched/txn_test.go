@@ -147,17 +147,16 @@ func TestTxnMisusePanics(t *testing.T) {
 	expectPanic("Apply on closed txn", func() { _ = txn.Apply(sys.Apps[1], mapB, Hints{}) })
 }
 
-// TestCloneIntoDoesNotAlias pins the contract the transactional engine
-// leans on: a clone produced by CloneInto shares no ledger rows or
-// interval slices with its source, so mutating either side never leaks
-// into the other.
-func TestCloneIntoDoesNotAlias(t *testing.T) {
+// TestCloneDoesNotAlias pins the contract the transactional engine
+// leans on: a clone shares no ledger rows or interval slices with its
+// source, so mutating either side never leaks into the other.
+func TestCloneDoesNotAlias(t *testing.T) {
 	src, sys, mapB := txnBase(t)
 	pre := append([]byte(nil), src.Fingerprint()...)
 
-	dst := src.CloneInto(mustState(t, sys))
+	dst := src.Clone()
 	if !bytes.Equal(dst.Fingerprint(), pre) {
-		t.Fatal("CloneInto did not produce an identical state")
+		t.Fatal("Clone did not produce an identical state")
 	}
 
 	// Structural distinctness: per-node interval sets and the bus ledger

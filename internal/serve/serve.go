@@ -83,10 +83,6 @@ type Config struct {
 	RetainJobs int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// Incremental is handed to every core.Solve call: the zero value
-	// enables transactional incremental evaluation,
-	// core.IncrementalOff restores full clone-and-rebuild per candidate.
-	Incremental core.IncrementalMode
 	// MaxBodyBytes bounds the POST /solve request body (default 64 MiB).
 	MaxBodyBytes int64
 	// SolutionCacheSize bounds the whole-solution cache (entries). 0
@@ -573,7 +569,6 @@ func (s *Server) solveWork(j *job, sys *model.System, p *core.Problem, frozen in
 		sol, err := core.Solve(ctx, p, core.Options{
 			Strategy:    strat,
 			Parallelism: s.parallelism(params),
-			Incremental: s.cfg.Incremental,
 			Observer:    &obs.Observer{Stats: j.reg, Tracer: j.buf},
 		})
 		j.reg.Histogram(obs.HstSolveSeconds).ObserveSince(t0)

@@ -29,6 +29,34 @@ func fixtureJSON(t *testing.T) []byte {
 	return data
 }
 
+// overflowSystemJSON is the fixture with its six graph periods set to
+// primes near 10^6, whose least common multiple overflows the time base.
+func overflowSystemJSON(t *testing.T) []byte {
+	t.Helper()
+	var sys struct {
+		Arch json.RawMessage  `json:"arch"`
+		Apps []map[string]any `json:"apps"`
+	}
+	if err := json.Unmarshal(fixtureJSON(t), &sys); err != nil {
+		t.Fatal(err)
+	}
+	periods := []int64{999983, 999979, 999961, 999959, 999953, 999931}
+	for _, app := range sys.Apps {
+		for _, g := range app["graphs"].([]any) {
+			g.(map[string]any)["period"] = periods[0]
+			periods = periods[1:]
+		}
+	}
+	if len(periods) != 0 {
+		t.Fatalf("fixture has %d graphs fewer than expected", len(periods))
+	}
+	data, err := json.Marshal(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(Config{Parallelism: 1, MaxConcurrent: 2})

@@ -386,6 +386,7 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"solve bad strategy", "POST", "/v1/solve?strategy=bogus", sysJSON, 400, ErrCodeBadRequest},
 		{"solve bad body", "POST", "/v1/solve", []byte("{"), 400, ErrCodeBadRequest},
+		{"solve hyperperiod overflow", "POST", "/v1/solve", overflowSystemJSON(t), 400, ErrCodeBadRequest},
 		{"solve unknown job", "GET", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"cancel unknown job", "DELETE", "/v1/solve/zzz", nil, 404, ErrCodeNotFound},
 		{"events unknown job", "GET", "/v1/solve/zzz/events", nil, 404, ErrCodeNotFound},

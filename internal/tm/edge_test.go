@@ -98,11 +98,8 @@ func TestGCDNegativeSafeUse(t *testing.T) {
 	}
 }
 
-func TestLCMOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LCM overflow did not panic")
-		}
-	}()
-	LCM(Infinity-1, Infinity-2)
+func TestLCMOverflowError(t *testing.T) {
+	if got, err := LCM(Infinity-1, Infinity-2); err == nil {
+		t.Fatalf("LCM overflow returned %d and no error", got)
+	}
 }

@@ -43,30 +43,34 @@ func GCD(a, b Time) Time {
 	return a
 }
 
-// LCM returns the least common multiple of a and b.
-// It panics if either argument is non-positive or the result overflows;
-// hyperperiods are validated long before they can get that large.
-func LCM(a, b Time) Time {
+// LCM returns the least common multiple of a and b. It reports an error
+// when the result would exceed Infinity: periods come from input files,
+// and coprime ones make the hyperperiod explode. It panics if either
+// argument is non-positive, which validated periods never are.
+func LCM(a, b Time) (Time, error) {
 	if a <= 0 || b <= 0 {
 		panic(fmt.Sprintf("tm.LCM: non-positive argument (%d, %d)", a, b))
 	}
 	g := GCD(a, b)
 	q := a / g
 	if q > Infinity/b {
-		panic(fmt.Sprintf("tm.LCM: overflow (%d, %d)", a, b))
+		return 0, fmt.Errorf("tm: least common multiple of %d and %d overflows", a, b)
 	}
-	return q * b
+	return q * b, nil
 }
 
-// LCMAll returns the least common multiple of all values.
-// It panics on an empty slice.
-func LCMAll(vs []Time) Time {
+// LCMAll returns the least common multiple of all values, or LCM's
+// overflow error. It panics on an empty slice.
+func LCMAll(vs []Time) (Time, error) {
 	if len(vs) == 0 {
 		panic("tm.LCMAll: empty slice")
 	}
 	l := vs[0]
 	for _, v := range vs[1:] {
-		l = LCM(l, v)
+		var err error
+		if l, err = LCM(l, v); err != nil {
+			return 0, err
+		}
 	}
-	return l
+	return l, nil
 }

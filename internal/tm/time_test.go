@@ -41,8 +41,8 @@ func TestLCM(t *testing.T) {
 		{40, 40, 40},
 	}
 	for _, tc := range tests {
-		if got := LCM(tc.a, tc.b); got != tc.want {
-			t.Errorf("LCM(%d,%d) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got, err := LCM(tc.a, tc.b); err != nil || got != tc.want {
+			t.Errorf("LCM(%d,%d) = %d, %v, want %d", tc.a, tc.b, got, err, tc.want)
 		}
 	}
 }
@@ -57,11 +57,15 @@ func TestLCMPanicsOnNonPositive(t *testing.T) {
 }
 
 func TestLCMAll(t *testing.T) {
-	if got := LCMAll([]Time{4, 6, 10}); got != 60 {
-		t.Errorf("LCMAll = %d, want 60", got)
+	if got, err := LCMAll([]Time{4, 6, 10}); err != nil || got != 60 {
+		t.Errorf("LCMAll = %d, %v, want 60", got, err)
 	}
-	if got := LCMAll([]Time{7}); got != 7 {
-		t.Errorf("LCMAll single = %d, want 7", got)
+	if got, err := LCMAll([]Time{7}); err != nil || got != 7 {
+		t.Errorf("LCMAll single = %d, %v, want 7", got, err)
+	}
+	// Six coprime periods near 10^6 overflow partway through the fold.
+	if _, err := LCMAll([]Time{999983, 999979, 999961, 999959, 999953, 999931}); err == nil {
+		t.Error("LCMAll of coprime periods near 10^6 reported no overflow")
 	}
 }
 
